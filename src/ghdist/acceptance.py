@@ -22,7 +22,14 @@ from .correspondences import (
     pair_distortion,
 )
 from .exact import SearchOptions, gh_exact, min_distortion_exhaustive
-from .models import antipodal_map, circle_space, segment_positions, segment_space, whisker_graph
+from .models import (
+    TWO_PI,
+    antipodal_map,
+    circle_space,
+    segment_positions,
+    segment_space,
+    whisker_graph,
+)
 from .nonlinearity import (
     line_image,
     nonlinearity_degree_exact,
@@ -31,8 +38,6 @@ from .nonlinearity import (
 from .segment_circle import DEFAULT_GRIDS, certificate, gh_formula, lower_bound, sweep
 from .spaces import PointSubset, hausdorff_distance, scale
 from .testing import random_euclidean_space, random_rectangle_points
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,6 @@ def criterion_2_regime_a() -> CriterionResult:
     """Short segments: exact round-route lower bound, tight single wind."""
     failures: list[str] = []
     circ = circle_space(720)
-    seg_tol = 4 * math.pi / 720 + 2.0 / 720  # the lam part is added per case
     worst_gap = 0.0
     for lam in (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3):
         target = math.pi / 2 - lam / 4
@@ -103,7 +107,6 @@ def criterion_2_regime_a() -> CriterionResult:
             failures.append(
                 f"lam={lam:.6f}: wind certificate off by {gap:.6f} > {tol:.6f}"
             )
-    del seg_tol
     return _result(
         2, "short-segment tightness", failures,
         f"round route exact to 1e-12, certificates within {worst_gap:.5f}"

@@ -116,9 +116,7 @@ def _cmd_make_space(args) -> int:
 def _cmd_distortion(args) -> int:
     if args.pl is not None:
         pl = pl_from_json(_read_text(args.pl))
-        step = args.step if args.step is not None else DEFAULT_GRIDS.pl_step
-        value = pl_distortion(pl, step)
-        _emit({"distortion": round12(value), "sample-step": round12(step)})
+        _emit({"distortion": round12(pl_distortion(pl))})
         return 0
     if args.x is None or args.y is None or args.pairs is None:
         raise InputError("distortion needs --x, --y and --pairs, or --pl")
@@ -247,7 +245,8 @@ def _add_grid_flags(p) -> None:
     p.add_argument("--m-grid", type=int, default=DEFAULT_GRIDS.m_grid,
                    help="segment grid size (default %(default)s)")
     p.add_argument("--pl-step", type=float, default=DEFAULT_GRIDS.pl_step,
-                   help="sampling step for piecewise-linear relations")
+                   help="step whose 4-fold enters the slack budget "
+                        "(default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,13 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_make_space)
 
     p = sub.add_parser("distortion",
-                       help="measure a correspondence or sampled relation")
+                       help="measure a correspondence or piecewise-linear relation")
     p.add_argument("--x", help="left space file")
     p.add_argument("--y", help="right space file")
     p.add_argument("--pairs", help="correspondence JSON file")
     p.add_argument("--pl", help="piecewise-linear relation JSON file")
-    p.add_argument("--step", type=float, default=None,
-                   help="sampling step for --pl (default pi/720)")
     p.set_defaults(handler=_cmd_distortion)
 
     p = sub.add_parser("bounds", help="two-sided distance bounds as JSON lines")

@@ -7,27 +7,28 @@ machinery for relations drawn inside the rectangle
 Q = [-lam/2, lam/2] x [-pi, pi], whose axes are a segment coordinate and a
 circle angle: a point of Q pairs a segment point with a circle point, and
 pair_distortion evaluates the metric discrepancy of two such pairings
-directly from coordinates.
+directly from coordinates.  pl_distortion evaluates a relation made of
+line segments exactly, from finitely many points of each pair of segments.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     CoverageGap,
-    GridTooCoarse,
     InvalidCorrespondence,
     LambdaOutOfRange,
     SpacesDiffer,
 )
-from .models import circle_angles, segment_positions, circle_space, segment_space
+from .models import TWO_PI
 from .spaces import FiniteMetricSpace, PointSubset
 
-TWO_PI = 2.0 * math.pi
+# how far a relation's endpoints may leave Q, and its projections' holes may
+# open, before the relation is rejected: room for rounded coordinates
+Q_TOL = 1e-9
 
 
 def is_correspondence(pairs: Iterable[tuple[int, int]], n_left: int, n_right: int) -> bool:
@@ -78,66 +79,6 @@ def distortion(corr: Correspondence) -> float:
     return float(np.abs(dl - dr).max())
 
 
-def _augment_right(pairs: set[tuple[int, int]], images: np.ndarray, n: int) -> None:
-    """Add, for each unhit circle vertex, its angularly nearest sample."""
-    hit = {j for _, j in pairs}
-    if len(hit) == n:
-        return
-    phis = circle_angles(n)
-    for j in range(n):
-        if j in hit:
-            continue
-        delta = np.abs(images - phis[j])
-        delta = np.minimum(delta, TWO_PI - delta)
-        k = int(delta.argmin())
-        pairs.add((k, j))
-
-
-def wrap_once(lam: float, m: int, n: int) -> Correspondence:
-    """Nearest-grid-point graph of the single full wind of [0, lam] around the circle.
-
-    The map sends t to the angle 2*pi*t/lam.  Each segment grid point is
-    matched to its nearest circle vertex; circle vertices left unhit are
-    matched to their nearest image, which needs m >= n to stay within one
-    grid step.
-    """
-    if lam <= 0:
-        raise LambdaOutOfRange(f"wrap needs a positive length, got {lam}")
-    if m < n:
-        raise GridTooCoarse(f"segment grid m = {m} cannot cover {n} circle vertices")
-    t = segment_positions(lam, m)
-    images = (TWO_PI * t / lam) % TWO_PI
-    idx = np.rint(images / (TWO_PI / n)).astype(int) % n
-    pairs = {(int(k), int(idx[k])) for k in range(m)}
-    _augment_right(pairs, images, n)
-    return Correspondence(segment_space(lam, m), circle_space(n), pairs)
-
-
-def wrap_triple(lam: float, m: int, n: int) -> Correspondence:
-    """Nearest-grid-point graph of the wind at triple angular speed.
-
-    The map sends t to the angle 3t.  Defined for lam in [2*pi/3, 7*pi/6]:
-    the image covers the circle (3*lam >= 2*pi) and the largest gap between
-    |t - t'| and the matched arc length stays at 2*pi/3 over that range.
-    """
-    if not (2 * math.pi / 3 - 1e-12 <= lam <= 7 * math.pi / 6 + 1e-12):
-        raise LambdaOutOfRange(f"triple-speed wind is only used for lam in [2pi/3, 7pi/6], got {lam}")
-    if m < n:
-        raise GridTooCoarse(f"segment grid m = {m} cannot cover {n} circle vertices")
-    t = segment_positions(lam, m)
-    images = (3.0 * t) % TWO_PI
-    idx = np.rint(images / (TWO_PI / n)).astype(int) % n
-    pairs = {(int(k), int(idx[k])) for k in range(m)}
-    _augment_right(pairs, images, n)
-    return Correspondence(segment_space(lam, m), circle_space(n), pairs)
-
-
-def wrap_image_angle(lam: float, t: float, rate: float | None = None) -> float:
-    """Angle assigned to segment coordinate t by a wind; default is one turn."""
-    speed = (TWO_PI / lam) if rate is None else rate
-    return (speed * t) % TWO_PI
-
-
 # piecewise-linear relations in Q coordinates
 
 def _wrap_angle(phi):
@@ -169,32 +110,6 @@ def pair_distortion(p, q) -> float:
     return abs(dt - (TWO_PI - dphi))
 
 
-@dataclass(frozen=True)
-class DistortionRegion:
-    """Points of Q whose pairing with a fixed center distorts by at most the threshold."""
-
-    center: tuple[float, float]
-    threshold: float
-
-    def contains(self, p) -> bool:
-        return pair_distortion(self.center, p) <= self.threshold
-
-
-def _pairwise_distortion_max(points: np.ndarray, chunk: int = 512) -> float:
-    t = points[:, 0]
-    phi = _wrap_angle(points[:, 1])
-    best = 0.0
-    for lo in range(0, len(points), chunk):
-        hi = min(lo + chunk, len(points))
-        dt = np.abs(t[lo:hi, None] - t[None, :])
-        dphi = np.abs(phi[lo:hi, None] - phi[None, :])
-        circ = np.minimum(dphi, TWO_PI - dphi)
-        block = np.abs(dt - circ).max()
-        if block > best:
-            best = float(block)
-    return best
-
-
 def distortion_bound_holds(points: Sequence, threshold: float) -> bool:
     """Check that every point of a Q relation lies in every other point's region.
 
@@ -218,26 +133,39 @@ class PLCorrespondence:
     """A relation in Q given as a union of line segments.
 
     Segments are ((t, phi), (t, phi)) coordinate pairs; endpoints must stay
-    inside Q = [-lam/2, lam/2] x [-pi, pi].
+    inside Q = [-lam/2, lam/2] x [-pi, pi].  The relation must be a
+    correspondence: the union of the segments' t-intervals covers
+    [-lam/2, lam/2] and the union of their phi-intervals covers the circle,
+    up to holes of Q_TOL; otherwise CoverageGap is raised.
     """
 
     __slots__ = ("lam", "segments")
 
     def __init__(self, lam: float, segments: Sequence):
-        if lam <= 0:
-            raise LambdaOutOfRange(f"needs a positive length, got {lam}")
+        if not (math.isfinite(lam) and lam > 0):
+            raise LambdaOutOfRange(f"needs a positive finite length, got {lam}")
         segs = []
         for seg in segments:
             (t0, p0), (t1, p1) = seg
             seg = ((float(t0), float(p0)), (float(t1), float(p1)))
             for t, phi in seg:
-                if abs(t) > lam / 2 + 1e-9 or abs(phi) > math.pi + 1e-9:
+                if not (abs(t) <= lam / 2 + Q_TOL and abs(phi) <= math.pi + Q_TOL):
                     raise InvalidCorrespondence(
                         f"endpoint ({t}, {phi}) outside Q for lam = {lam}"
                     )
             segs.append(seg)
         if not segs:
             raise InvalidCorrespondence("needs at least one segment")
+        t_holes = _holes([sorted((a[0], b[0])) for a, b in segs], -lam / 2, lam / 2)
+        if max(t_holes) > Q_TOL:
+            raise CoverageGap(f"segment projection leaves a gap of {max(t_holes):.6g}")
+        phi_holes = _holes([sorted((a[1], b[1])) for a, b in segs], -math.pi, math.pi)
+        # -pi and pi are one point of the circle, so the two end holes are one
+        seam = phi_holes[0] + phi_holes[-1]
+        if max(phi_holes[1:-1] + [seam]) > Q_TOL:
+            raise CoverageGap(
+                f"angle projection leaves a gap of {max(phi_holes[1:-1] + [seam]):.6g}"
+            )
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "segments", tuple(segs))
 
@@ -245,52 +173,67 @@ class PLCorrespondence:
         raise AttributeError("PLCorrespondence is immutable")
 
 
-def pl_sample(pl: PLCorrespondence, step: float) -> np.ndarray:
-    """Sample every segment at spacing <= step and check projection coverage.
+def _holes(intervals, lo: float, hi: float) -> list[float]:
+    """Lengths of the holes the intervals leave in [lo, hi], left to right.
 
-    Per segment the sample count is the next power of two at or above
-    length/step, so halving the step always refines the previous samples.
-    Raises CoverageGap when either projection (segment coordinate, or angle
-    with -pi and pi identified) leaves a hole wider than the step.
+    The first and last entries are the holes at lo and at hi; an entry is
+    negative where intervals overlap.
     """
-    if step <= 0:
-        raise CoverageGap(f"sampling step must be positive, got {step}")
-    chunks = []
-    for (t0, p0), (t1, p1) in pl.segments:
-        length = math.hypot(t1 - t0, p1 - p0)
-        if length == 0:
-            chunks.append(np.array([[t0, p0]]))
-            continue
-        pieces = 1 << max(0, math.ceil(math.log2(length / step)))
-        frac = np.arange(pieces + 1) / pieces
-        chunks.append(np.column_stack((t0 + frac * (t1 - t0), p0 + frac * (p1 - p0))))
-    pts = np.unique(np.concatenate(chunks), axis=0)
-
-    slop = 1e-12
-    t = np.sort(pts[:, 0])
-    half = pl.lam / 2
-    gaps = [t[0] - (-half), half - t[-1]]
-    if len(t) > 1:
-        gaps.append(float(np.diff(t).max()))
-    if max(gaps) > step + slop:
-        raise CoverageGap(f"segment projection leaves a gap of {max(gaps):.6g} > step")
-    phi = np.sort(_wrap_angle(pts[:, 1]))
-    circ_gaps = [phi[0] + TWO_PI - phi[-1]]
-    if len(phi) > 1:
-        circ_gaps.append(float(np.diff(phi).max()))
-    if max(circ_gaps) > step + slop:
-        raise CoverageGap(f"angle projection leaves a gap of {max(circ_gaps):.6g} > step")
-    return pts
+    reach, holes = lo, []
+    for a, b in sorted(intervals):
+        holes.append(a - reach)
+        reach = max(reach, b)
+    holes.append(hi - reach)
+    return holes
 
 
-def pl_distortion(pl: PLCorrespondence, step: float) -> float:
-    """Largest pair_distortion over the sampled relation.
+# Lines a*s + b*u = c bounding the unit square of segment parameters (s, u).
+_SQUARE_EDGES = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0],
+                          [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+_LINE_PAIRS = np.triu_indices(8, k=1)
 
-    The sampling misses the continuous value by at most 4 * step: each of
-    the two points moves by at most step and the value is 2-Lipschitz in
-    each point.
+
+def pl_distortion(pl: PLCorrespondence) -> float:
+    """Exact distortion of a piecewise-linear relation: the sup of pair_distortion.
+
+    A pair of segments, one point at parameter s on the first and one at u
+    on the second, has dt = t - t' and dphi = phi - phi' linear in
+    (s, u) in [0, 1]^2.  The lines dt = 0 and dphi in {-pi, 0, pi} cut the
+    square into cells on each of which |dt| and the circle distance of dphi
+    are linear, so the value ||dt| - circ(dphi)| is convex there and takes
+    its maximum at a cell vertex.  Every cell vertex is an intersection of
+    two of those four lines and the square's four edges, so the maximum over
+    those intersections, for every pair of segments including each segment
+    with itself, is the distortion.  Every evaluated point is a pair of
+    points of the relation, so rounding cannot lift the value above the
+    true sup.
     """
-    return _pairwise_distortion_max(pl_sample(pl, step))
+    seg = np.array(pl.segments, dtype=float)        # (k, 2 ends, (t, phi))
+    seg[..., 1] = np.clip(seg[..., 1], -math.pi, math.pi)
+    first, second = np.triu_indices(len(seg))
+    a, da = seg[first, 0], seg[first, 1] - seg[first, 0]
+    b, db = seg[second, 0], seg[second, 1] - seg[second, 0]
+    off = a - b
+    # per pair, the lines dt = 0 and dphi = v for v in (-pi, 0, pi)
+    lines = np.empty((len(a), 8, 3))
+    lines[:, :4] = _SQUARE_EDGES
+    lines[:, 4] = np.column_stack((da[:, 0], -db[:, 0], -off[:, 0]))
+    for row, v in zip((5, 6, 7), (-math.pi, 0.0, math.pi)):
+        lines[:, row] = np.column_stack((da[:, 1], -db[:, 1], v - off[:, 1]))
+    l1, l2 = lines[:, _LINE_PAIRS[0]], lines[:, _LINE_PAIRS[1]]
+    det = l1[..., 0] * l2[..., 1] - l1[..., 1] * l2[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (l1[..., 2] * l2[..., 1] - l1[..., 1] * l2[..., 2]) / det
+        u = (l1[..., 0] * l2[..., 2] - l1[..., 2] * l2[..., 0]) / det
+    # an intersection outside the square, or none (parallel lines), is
+    # clipped into it: some pair of points of the relation all the same
+    s = np.clip(np.nan_to_num(s), 0.0, 1.0)[..., None]
+    u = np.clip(np.nan_to_num(u), 0.0, 1.0)[..., None]
+    p = a[:, None] + s * da[:, None]
+    q = b[:, None] + u * db[:, None]
+    dt = np.abs(p[..., 0] - q[..., 0])
+    dphi = np.abs(p[..., 1] - q[..., 1])
+    return float(np.abs(dt - np.minimum(dphi, TWO_PI - dphi)).max())
 
 
 def nearest_point_correspondence(space: FiniteMetricSpace, a: PointSubset,

@@ -76,10 +76,6 @@ class InvalidCorrespondence(ToolkitError):
     pass
 
 
-class GridTooCoarse(ToolkitError):
-    pass
-
-
 class LambdaOutOfRange(ToolkitError):
     pass
 

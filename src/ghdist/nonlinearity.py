@@ -27,7 +27,7 @@ from .errors import (
     NotLipschitz,
     TooLarge,
 )
-from .spaces import FiniteMetricSpace, diameter
+from .spaces import FiniteMetricSpace, _min_plus_closure, diameter
 
 DEFAULT_OPT_TOL = 1e-9
 DEFAULT_LIP_TOL = 1e-9
@@ -75,13 +75,6 @@ def basepoint_witness(space: FiniteMetricSpace, base: int = 0) -> LipschitzWitne
     return normalized_witness(space, space.dist[base])
 
 
-def _floyd_warshall_small(u: np.ndarray) -> np.ndarray:
-    out = u.copy()
-    for k in range(out.shape[0]):
-        np.minimum(out, out[:, k : k + 1] + out[k : k + 1, :], out=out)
-    return out
-
-
 def _order_bounds(d: np.ndarray, order: tuple[int, ...]):
     """Upper-bound matrices split into a constant part and the threshold slot.
 
@@ -110,7 +103,7 @@ def _feasible(upper: np.ndarray, needs: np.ndarray, thr: float):
     for p in range(n - 1):
         if m[p + 1, p] > 0.0:
             m[p + 1, p] = 0.0
-    closed = _floyd_warshall_small(m)
+    closed = _min_plus_closure(m)
     if np.diagonal(closed).min() < 0.0:
         return None
     return closed
@@ -226,7 +219,8 @@ def nonlinearity_degree_upper(space: FiniteMetricSpace, restarts: int = 32,
         if found is None:
             continue
         val, positions = found
-        improved = True
+        # no swap can go below 0, so an order already there skips the rounds
+        improved = val > 0.0
         rounds = 0
         while improved and rounds < 200:
             improved = False

@@ -22,26 +22,24 @@ from .correspondences import (
     Correspondence,
     PLCorrespondence,
     distortion,
-    nearest_point_correspondence,
     pl_distortion,
-    wrap_once,
-    wrap_triple,
 )
-from .errors import CertificateFailed, NegativeLambda, ToolkitError
+from .errors import CertificateFailed, LambdaOutOfRange, NegativeLambda, ToolkitError
 from .models import (
+    TWO_PI,
     antipodal_map,
     circle_space,
     segment_positions,
     segment_space,
-    whisker_graph,
 )
 from .nonlinearity import normalized_witness
-from .spaces import PointSubset, hausdorff_distance
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 SEVEN_SIXTHS_PI = 7.0 * math.pi / 6.0
 FIVE_THIRDS_PI = 5.0 * math.pi / 3.0
-TWO_PI = 2.0 * math.pi
+
+# rounding room when an exactly measured distortion is compared with its target
+EXACT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,10 +60,24 @@ DEFAULT_GRIDS = GridParams()
 _circle = lru_cache(maxsize=8)(circle_space)
 
 
-def gh_formula(lam: float) -> float:
-    """The three-branch closed form; constant pi/3 on the plateau."""
+def _require_length(lam: float) -> None:
+    if not math.isfinite(lam):
+        raise LambdaOutOfRange(f"segment length must be finite, got {lam}")
     if lam < 0:
         raise NegativeLambda(f"segment length must be nonnegative, got {lam}")
+
+
+def _below_resolution(lam: float, m: int) -> bool:
+    """True for lam = 0 and for lengths whose m-point grid is not strictly increasing.
+
+    Such lengths are treated as lam = 0: the segment is one point.
+    """
+    return lam == 0.0 or not np.all(np.diff(segment_positions(lam, m)) > 0)
+
+
+def gh_formula(lam: float) -> float:
+    """The three-branch closed form; constant pi/3 on the plateau."""
+    _require_length(lam)
     if TWO_THIRDS_PI <= lam <= FIVE_THIRDS_PI:
         return math.pi / 3
     if lam < TWO_THIRDS_PI:
@@ -75,8 +87,7 @@ def gh_formula(lam: float) -> float:
 
 def regime(lam: float) -> str:
     """Regime label; interval upper ends inclusive."""
-    if lam < 0:
-        raise NegativeLambda(f"segment length must be nonnegative, got {lam}")
+    _require_length(lam)
     if lam <= TWO_THIRDS_PI:
         return "A"
     if lam <= SEVEN_SIXTHS_PI:
@@ -153,18 +164,55 @@ class CertificateResult:
         return self.measured / 2
 
 
-def _pl_certificate(lam: float, grids: GridParams) -> tuple[PLCorrespondence, float, str]:
+def _wind_once_segments(lam: float) -> list:
+    """One full turn, phi = 2*pi*(t + lam/2)/lam, wrapped into (-pi, pi]."""
+    half = lam / 2
+    return [((-half, 0.0), (0.0, math.pi)), ((0.0, -math.pi), (half, 0.0))]
+
+
+def _wind_triple_segments(lam: float) -> list:
+    """phi = 3*(t + lam/2), wrapped into (-pi, pi] and split at each wrap."""
+    half = lam / 2
+    segs, t, phi = [], -half, 0.0
+    while True:
+        wrap = t + (math.pi - phi) / 3
+        if wrap >= half:
+            segs.append(((t, phi), (half, phi + 3 * (half - t))))
+            return segs
+        segs.append(((t, phi), (wrap, math.pi)))
+        t, phi = wrap, -math.pi
+
+
+def _whisker_segments(lam: float) -> list:
+    """The whisker construction for lam >= 2*pi, drawn in Q.
+
+    Each whisker maps to its attachment angle (-pi for the left one, 0 for
+    the right one), the middle of the segment runs along the lower
+    semicircle on phi = t - pi/2, and each upper quarter of the circle maps
+    to the nearer end of that semicircle, t = -pi/2 or t = pi/2.
+    """
+    half, quarter = lam / 2, math.pi / 2
+    return [
+        ((-half, -math.pi), (-quarter, -math.pi)),
+        ((-quarter, -math.pi), (quarter, 0.0)),
+        ((quarter, 0.0), (half, 0.0)),
+        ((quarter, 0.0), (quarter, quarter)),
+        ((-quarter, quarter), (-quarter, math.pi)),
+    ]
+
+
+def _pl_certificate(lam: float) -> tuple[PLCorrespondence, float, str]:
     # the plateau certificates are clippings of the construction at 5*pi/3;
     # clipping cannot increase distortion, so the parent's target applies
     source = FIVE_THIRDS_PI if lam <= FIVE_THIRDS_PI else lam
-    target = (source - math.pi) + 4 * grids.pl_step
+    target = (source - math.pi) + EXACT_TOL
     best = None
     for path in ("anchored", "connector-at-center"):
         segs = _anchored_segments(source, cyan_to_center=(path != "anchored"))
         if lam < source:
             segs = _clip_segments(segs, lam / 2)
         pl = PLCorrespondence(lam, segs)
-        measured = pl_distortion(pl, grids.pl_step)
+        measured = pl_distortion(pl)
         if measured <= target:
             return pl, measured, path
         if best is None or measured < best[1]:
@@ -175,44 +223,36 @@ def _pl_certificate(lam: float, grids: GridParams) -> tuple[PLCorrespondence, fl
 def certificate(lam: float, grids: Optional[GridParams] = None) -> CertificateResult:
     """Build and measure the upper-bound correspondence for one lam.
 
-    The construction depends on the regime; the returned distortion is
-    always measured on the discretized relation.  CertificateFailed means
-    the measurement landed above 2*formula + slack, which would indicate
-    a broken construction, not bad input.
+    Every lam > 0 gets a piecewise-linear relation in Q whose distortion
+    pl_distortion evaluates exactly; a lam below the segment grid's
+    resolution, lam = 0 included, gets the full product of one point with
+    the circle grid.  The returned distortion is always measured.
+    CertificateFailed means the measurement landed above
+    2*formula + slack, which would indicate a broken construction, not bad
+    input.
     """
     grids = grids or DEFAULT_GRIDS
-    if lam < 0:
-        raise NegativeLambda(f"segment length must be nonnegative, got {lam}")
+    _require_length(lam)
     reg = regime(lam)
     path = "direct"
-    if lam == 0.0:
+    if _below_resolution(lam, _odd(grids.m_grid)):
         circ = _circle(grids.n_circle)
         relation = Correspondence(
             segment_space(0.0, 1), circ, {(0, j) for j in range(circ.n)}
         )
         measured = distortion(relation)
         kind = "full-product"
-    elif reg == "A":
-        relation = wrap_once(lam, grids.m_grid, grids.n_circle)
-        measured = distortion(relation)
-        kind = "wind-once"
-    elif reg == "B1":
-        m_eff = max(grids.m_grid, 2 * grids.n_circle)
-        relation = wrap_triple(lam, m_eff, grids.n_circle)
-        measured = distortion(relation)
-        kind = "wind-triple"
     elif reg in ("B2", "C1"):
-        relation, measured, path = _pl_certificate(lam, grids)
+        relation, measured, path = _pl_certificate(lam)
         kind = "piecewise-linear"
     else:
-        complex_ = whisker_graph(lam, grids.n_circle)
-        circle_part = PointSubset(complex_.space, complex_.circle_points)
-        segment_part = PointSubset(complex_.space, complex_.segment_points)
-        relation = nearest_point_correspondence(
-            complex_.space, circle_part, segment_part
-        )
-        measured = distortion(relation)
-        kind = "whisker"
+        kind, build = {
+            "A": ("wind-once", _wind_once_segments),
+            "B1": ("wind-triple", _wind_triple_segments),
+            "C2": ("whisker", _whisker_segments),
+        }[reg]
+        relation = PLCorrespondence(lam, build(lam))
+        measured = pl_distortion(relation)
 
     target = 2 * gh_formula(lam) + grids.slack(lam)
     if measured > target:
@@ -233,13 +273,16 @@ def lower_bound(lam: float, grids: Optional[GridParams] = None) -> BoundRecord:
     segment is short), diametral involution with the segment's zero
     nonlinearity witness (the plateau), and the diameter gap (long
     segments).  The involution route carries the documented resolution
-    slack 2*pi/n_circle.
+    slack 2*pi/n_circle.  A lam below the segment grid's resolution is
+    bounded as lam = 0, a one-point segment.
     """
     grids = grids or DEFAULT_GRIDS
-    if lam < 0:
-        raise NegativeLambda(f"segment length must be nonnegative, got {lam}")
+    _require_length(lam)
     circ = _circle(grids.n_circle)
-    seg = segment_space(lam, _odd(grids.m_grid) if lam > 0 else 1)
+    m = _odd(grids.m_grid)
+    if _below_resolution(lam, m):
+        lam, m = 0.0, 1
+    seg = segment_space(lam, m)
 
     routes = [round_lower(circ, seg), diam_diff_lower(circ, seg)]
     witness = normalized_witness(seg, segment_positions(lam, seg.n))
@@ -296,6 +339,8 @@ def sweep(lam_min: float, lam_max: float, steps: int,
           grids: Optional[GridParams] = None,
           threads: Optional[int] = None) -> list[RegimeReport]:
     """Reports over an even lam grid, ordered by lam regardless of threads."""
+    if not (math.isfinite(lam_min) and math.isfinite(lam_max)):
+        raise LambdaOutOfRange(f"sweep range must be finite, got [{lam_min}, {lam_max}]")
     if lam_min < 0:
         raise NegativeLambda(f"sweep range must be nonnegative, got {lam_min}")
     if lam_max < lam_min:

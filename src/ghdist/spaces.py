@@ -93,6 +93,15 @@ def _triangle_witness(matrix: np.ndarray, tol: float):
     return None
 
 
+def _min_plus_closure(d: np.ndarray) -> np.ndarray:
+    """Shortest-path closure of a dense weight matrix: Floyd-Warshall,
+    one vectorized min-plus update per pivot."""
+    closure = d.copy()
+    for k in range(closure.shape[0]):
+        np.minimum(closure, closure[:, k : k + 1] + closure[k : k + 1, :], out=closure)
+    return closure
+
+
 def validate_metric(matrix, labels: Sequence[str] | None = None, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
     """Check all four metric axioms and return the validated space.
 
@@ -107,9 +116,7 @@ def validate_metric(matrix, labels: Sequence[str] | None = None, tol: float = DE
     if n <= 2:
         return space
     if n <= 192:
-        closure = d.copy()
-        for k in range(n):
-            np.minimum(closure, closure[:, k : k + 1] + closure[k : k + 1, :], out=closure)
+        closure = _min_plus_closure(d)
     else:
         from scipy.sparse.csgraph import shortest_path
 

@@ -100,10 +100,19 @@ class TestExactAndDistortion:
             "lambda": round12(2 * math.pi),
             "segments": [[[-math.pi, -math.pi], [math.pi, math.pi]]],
         }))
-        assert run(["distortion", "--pl", str(pl), "--step", "0.01"]) == 0
+        assert run(["distortion", "--pl", str(pl)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["sample-step"] == 0.01
-        assert doc["distortion"] >= math.pi  # identity embedding of a cut circle
+        # identity embedding of a cut circle: the two cut ends are 2*pi apart
+        assert doc == {"distortion": round12(2 * math.pi)}
+
+    def test_pl_relation_with_a_coverage_gap_is_an_input_error(self, tmp_path, capsys):
+        pl = tmp_path / "pl.json"
+        pl.write_text(json.dumps({
+            "lambda": round12(2 * math.pi),
+            "segments": [[[0.0, 0.0], [math.pi, math.pi / 2]]],
+        }))
+        assert run(["distortion", "--pl", str(pl)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_inputs_rejected(self, tmp_path, capsys):
         seg = make_segment(tmp_path, "s.json", 1.0, 3)
@@ -196,6 +205,13 @@ class TestCertify:
         assert run(["certify", "--lambda", "-1.0"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_is_an_input_error(self, capsys, value):
+        assert run(["certify", "--lambda", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_csv_to_file(self, tmp_path):
@@ -211,6 +227,12 @@ class TestSweep:
     def test_backwards_range_rejected(self, capsys):
         assert run(["sweep", "--from", "2.0", "--to", "1.0",
                     "--steps", "3"]) == 1
+
+    def test_non_finite_end_is_an_input_error(self, capsys):
+        assert run(["sweep", "--from", "0", "--to", "nan", "--steps", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestExitCodes:

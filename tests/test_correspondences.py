@@ -7,30 +7,64 @@ from hypothesis import strategies as st
 
 from ghdist import (
     Correspondence,
-    DistortionRegion,
     PLCorrespondence,
+    certificate,
     distortion,
     distortion_bound_holds,
     is_correspondence,
     nearest_point_correspondence,
     pair_distortion,
     pl_distortion,
-    pl_sample,
-    wrap_image_angle,
-    wrap_once,
-    wrap_triple,
 )
 from ghdist.errors import (
     CoverageGap,
-    GridTooCoarse,
     InvalidCorrespondence,
     LambdaOutOfRange,
 )
 from ghdist.models import circle_space, segment_space
+from ghdist.segment_circle import _wind_once_segments, _wind_triple_segments
 from ghdist.spaces import PointSubset
 from ghdist.testing import random_rectangle_points
 
 TWO_PI = 2 * math.pi
+
+
+# sampled reference for pl_distortion
+
+def sample_relation(pl: PLCorrespondence, step: float) -> np.ndarray:
+    """Points of every segment at spacing <= step, endpoints included.
+
+    Per segment the sample count is the next power of two at or above
+    length/step, so halving the step always refines the previous samples.
+    """
+    chunks = []
+    for (t0, p0), (t1, p1) in pl.segments:
+        length = math.hypot(t1 - t0, p1 - p0)
+        pieces = 1 << max(0, math.ceil(math.log2(length / step))) if length else 1
+        frac = np.arange(pieces + 1) / pieces
+        chunks.append(np.column_stack((t0 + frac * (t1 - t0), p0 + frac * (p1 - p0))))
+    return np.unique(np.concatenate(chunks), axis=0)
+
+
+def pairwise_distortion_max(points: np.ndarray, chunk: int = 512) -> float:
+    """max of pair_distortion over all pairs of sampled points, vectorized."""
+    t = points[:, 0]
+    phi = np.clip(points[:, 1], -math.pi, math.pi)
+    best = 0.0
+    for lo in range(0, len(points), chunk):
+        dt = np.abs(t[lo:lo + chunk, None] - t[None, :])
+        dphi = np.abs(phi[lo:lo + chunk, None] - phi[None, :])
+        best = max(best, float(np.abs(dt - np.minimum(dphi, TWO_PI - dphi)).max()))
+    return best
+
+
+def sampled_distortion(pl: PLCorrespondence, step: float) -> float:
+    """A lower bound on the distortion, at most 4 * step below it.
+
+    Every point of a segment lies within step of a sampled point, and the
+    pair value is 2-Lipschitz in each point.
+    """
+    return pairwise_distortion_max(sample_relation(pl, step))
 
 
 class TestCorrespondenceBasics:
@@ -61,43 +95,31 @@ class TestCorrespondenceBasics:
 class TestWrapOnce:
     def test_matches_continuous_formula_near_plateau_start(self):
         lam = TWO_PI / 3
-        measured = distortion(wrap_once(lam, 720, 720))
-        assert abs(measured - (math.pi - lam / 2)) <= 4 * math.pi / 720 + 2 * lam / 720
+        cert = certificate(lam)
+        assert cert.kind == "wind-once"
+        assert abs(cert.measured - (math.pi - lam / 2)) <= 1e-12
 
     def test_short_segment_close_to_pi(self):
         lam = 0.01
-        measured = distortion(wrap_once(lam, 720, 720))
-        assert abs(measured - (math.pi - lam / 2)) <= 4 * math.pi / 720 + 2 * lam / 720
+        cert = certificate(lam)
+        assert cert.kind == "wind-once"
+        assert abs(cert.measured - (math.pi - lam / 2)) <= 1e-12
 
     def test_long_segment_dominated_by_length(self):
         lam = 0.9 * math.pi  # here lam exceeds pi - lam/2
-        measured = distortion(wrap_once(lam, 720, 720))
-        assert abs(measured - lam) <= 4 * math.pi / 720 + 2 * lam / 720
+        measured = pl_distortion(PLCorrespondence(lam, _wind_once_segments(lam)))
+        assert abs(measured - lam) <= 1e-12
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(LambdaOutOfRange):
-            wrap_once(0.0, 10, 10)
-
-    def test_rejects_coarse_segment_grid(self):
-        with pytest.raises(GridTooCoarse):
-            wrap_once(1.0, 5, 10)
-
-    def test_image_angle_default_rate_is_one_turn(self):
-        lam = 2.0
-        assert wrap_image_angle(lam, lam / 2) == math.pi
+            PLCorrespondence(0.0, _wind_once_segments(1.0))
 
 
 class TestWrapTriple:
     @pytest.mark.parametrize("lam", [TWO_PI / 3, math.pi, 7 * math.pi / 6])
     def test_distortion_stays_at_two_thirds_pi(self, lam):
-        measured = distortion(wrap_triple(lam, 1440, 720))
-        assert abs(measured - TWO_PI / 3) <= 4 * math.pi / 720 + 2 * lam / 1440
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(LambdaOutOfRange):
-            wrap_triple(0.5, 720, 720)
-        with pytest.raises(LambdaOutOfRange):
-            wrap_triple(4.0, 720, 720)
+        measured = pl_distortion(PLCorrespondence(lam, _wind_triple_segments(lam)))
+        assert abs(measured - TWO_PI / 3) <= 1e-12
 
 
 class TestPairDistortion:
@@ -130,21 +152,6 @@ class TestPairDistortion:
 
 
 class TestDistortionRegion:
-    def test_center_always_inside(self):
-        region = DistortionRegion((0.4, 0.1), 0.0)
-        assert region.contains((0.4, 0.1))
-
-    def test_just_past_threshold_outside(self):
-        a = 0.5
-        region = DistortionRegion((0.0, 0.0), a)
-        assert region.contains((a, 0.0))
-        assert not region.contains((a + 1e-9, 0.0))
-
-    def test_diagonal_inside_for_any_threshold(self):
-        region = DistortionRegion((0.0, 0.0), 0.0)
-        for t in np.linspace(-math.pi, math.pi, 9):
-            assert region.contains((float(t), float(t)))
-
     def test_bound_check_matches_brute_force(self):
         rng = np.random.default_rng(555)
         for trial in range(40):
@@ -168,30 +175,94 @@ class TestDistortionRegion:
 
 class TestPLCorrespondence:
     def test_identity_diagonal_at_full_turn(self):
-        # frozen via a dense direct computation: the sup is 2*pi, attained
-        # by the endpoint pair (-pi, -pi), (pi, pi)
+        # the sup is 2*pi, attained by the endpoint pair (-pi, -pi), (pi, pi)
         lam = TWO_PI
         pl = PLCorrespondence(lam, [((-math.pi, -math.pi), (math.pi, math.pi))])
-        step = math.pi / 720
-        measured = pl_distortion(pl, step)
-        assert abs(measured - TWO_PI) <= 4 * step
+        assert pl_distortion(pl) == TWO_PI
 
     def test_sample_covers_both_axes(self):
+        # exact coverage accepts the full diagonal, whose projections are
+        # exactly [-lam/2, lam/2] and [-pi, pi]
         lam = TWO_PI
         pl = PLCorrespondence(lam, [((-math.pi, -math.pi), (math.pi, math.pi))])
-        pts = pl_sample(pl, math.pi / 180)
-        assert pts[:, 0].min() <= -math.pi + math.pi / 180
-        assert pts[:, 0].max() >= math.pi - math.pi / 180
+        assert pl.segments == (((-math.pi, -math.pi), (math.pi, math.pi)),)
 
     def test_half_diagonal_fails_circle_coverage(self):
         lam = TWO_PI
-        pl = PLCorrespondence(lam, [((0.0, 0.0), (math.pi, math.pi / 2))])
         with pytest.raises(CoverageGap):
-            pl_sample(pl, math.pi / 180)
+            PLCorrespondence(lam, [((0.0, 0.0), (math.pi, math.pi / 2))])
+
+    def test_segment_projection_gap_rejected(self):
+        lam = 2.0
+        segs = [((-1.0, -math.pi), (0.0, 0.0)), ((1e-6, 0.0), (1.0, math.pi))]
+        with pytest.raises(CoverageGap):
+            PLCorrespondence(lam, segs)
+        segs[1] = ((1e-10, 0.0), (1.0, math.pi))  # below Q_TOL: rounding room
+        PLCorrespondence(lam, segs)
+
+    def test_angle_coverage_wraps_at_pi(self):
+        # phi in [-pi, 0] and [0, pi - 1e-6] leaves a hole at the seam
+        segs = [((-1.0, -math.pi), (0.0, 0.0)), ((0.0, 0.0), (1.0, math.pi - 1e-6))]
+        with pytest.raises(CoverageGap):
+            PLCorrespondence(2.0, segs)
 
     def test_endpoints_outside_rectangle_rejected(self):
         with pytest.raises(Exception):
             PLCorrespondence(1.0, [((0.0, 0.0), (5.0, 0.0))])
+
+    def test_nan_endpoint_rejected(self):
+        with pytest.raises(InvalidCorrespondence):
+            PLCorrespondence(1.0, [((-0.5, -math.pi), (0.5, float("nan")))])
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 4.5, 5.8, 9.0])
+    def test_exact_value_brackets_the_sample(self, lam):
+        pl = certificate(lam).relation
+        exact = pl_distortion(pl)
+        step = math.pi / 256
+        sampled = sampled_distortion(pl, step)
+        assert sampled <= exact + 1e-12
+        assert exact <= sampled + 4 * step
+
+
+@st.composite
+def pl_relations(draw):
+    """A random relation in Q that covers both projections.
+
+    A polyline through randomly placed vertices whose extreme coordinates
+    are pinned to the sides of Q, plus a few free segments.
+    """
+    lam = draw(st.floats(min_value=1e-3, max_value=3 * math.pi))
+    n_path = draw(st.integers(min_value=1, max_value=6))
+    n_free = draw(st.integers(min_value=0, max_value=6 - n_path))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    t = np.array([draw(unit) for _ in range(n_path + 1)])
+    phi = np.array([draw(unit) for _ in range(n_path + 1)])
+    lo_t, hi_t = int(t.argmin()), int(t.argmax())
+    if lo_t == hi_t:
+        lo_t, hi_t = 0, n_path
+    t = -lam / 2 + lam * t
+    t[lo_t], t[hi_t] = -lam / 2, lam / 2
+    lo_p, hi_p = int(phi.argmin()), int(phi.argmax())
+    if lo_p == hi_p:
+        lo_p, hi_p = 0, n_path
+    phi = -math.pi + TWO_PI * phi
+    phi[lo_p], phi[hi_p] = -math.pi, math.pi
+    segs = [((t[k], phi[k]), (t[k + 1], phi[k + 1])) for k in range(n_path)]
+    for _ in range(n_free):
+        ends = [(-lam / 2 + lam * draw(unit), -math.pi + TWO_PI * draw(unit))
+                for _ in range(2)]
+        segs.append(tuple(ends))
+    return PLCorrespondence(lam, segs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pl_relations())
+def test_exact_distortion_within_sampling_error(pl):
+    step = math.pi / 128
+    exact = pl_distortion(pl)
+    sampled = sampled_distortion(pl, step)
+    assert sampled <= exact + 1e-12
+    assert exact <= sampled + 4 * step
 
 
 class TestNearestPointCorrespondence:

@@ -16,6 +16,7 @@ from ghdist import (
     nonlinearity_degree_upper,
     normalized_witness,
     scale,
+    segment_positions,
     segment_space,
     validate_antipodal_involution,
     witness_objective,
@@ -163,6 +164,25 @@ class TestHeuristicDegree:
     def test_finds_zero_on_a_segment_grid(self):
         upper, _ = nonlinearity_degree_upper(segment_space(2.0, 6), restarts=8, seed=0)
         assert upper <= 1e-9
+
+    def test_an_order_at_zero_skips_its_swap_rounds(self, monkeypatch):
+        # the first start order of a segment grid is the grid order, already
+        # at 0; no swap can improve it, so that one order is all that runs
+        import ghdist.nonlinearity as nl
+
+        calls = []
+        solve = nl._min_threshold_for_order
+
+        def counted(d, order, tol, cap):
+            calls.append(order)
+            return solve(d, order, tol, cap)
+
+        monkeypatch.setattr(nl, "_min_threshold_for_order", counted)
+        space = segment_space(3.0, 193)
+        value, witness = nonlinearity_degree_upper(space, restarts=16, seed=0)
+        assert len(calls) == 1
+        assert value == 0.0
+        assert witness == normalized_witness(space, segment_positions(3.0, 193))
 
 
 class TestAntipodalMachinery:

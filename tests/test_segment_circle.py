@@ -1,25 +1,29 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghdist import (
     GridParams,
+    PLCorrespondence,
     certificate,
     gh_formula,
     lower_bound,
+    pl_distortion,
     regime,
     report,
     sweep,
 )
-from ghdist.errors import NegativeLambda, ToolkitError
+from ghdist.errors import LambdaOutOfRange, NegativeLambda, ToolkitError
 
 TWO_PI = 2.0 * math.pi
 PLATEAU_LO = 2.0 * math.pi / 3.0
 PLATEAU_HI = 5.0 * math.pi / 3.0
 
 COARSE = GridParams(n_circle=180, m_grid=180, pl_step=math.pi / 180)
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestFormula:
@@ -38,6 +42,11 @@ class TestFormula:
     def test_negative_rejected(self):
         with pytest.raises(NegativeLambda):
             gh_formula(-0.1)
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(LambdaOutOfRange):
+            gh_formula(lam)
 
     @given(st.floats(min_value=0.0, max_value=8 * math.pi,
                      allow_nan=False, allow_infinity=False))
@@ -71,6 +80,11 @@ class TestRegimeLabels:
         with pytest.raises(NegativeLambda):
             regime(-1.0)
 
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(LambdaOutOfRange):
+            regime(lam)
+
 
 class TestCertificate:
     def test_zero_length_full_product(self):
@@ -88,16 +102,45 @@ class TestCertificate:
     def test_regime_constructions_stay_within_slack(self, lam, kind):
         cert = certificate(lam, COARSE)
         assert cert.kind == kind
+        assert isinstance(cert.relation, PLCorrespondence)
         assert cert.half <= gh_formula(lam) + COARSE.slack(lam)
+
+    @pytest.mark.parametrize("lam", [
+        1e-300, 0.5, 1.5, PLATEAU_LO,               # A
+        PLATEAU_LO + 1e-9, 2.5, math.pi, 7 * math.pi / 6,   # B1
+        7 * math.pi / 6 + 1e-9, 4.5, PLATEAU_HI,    # B2
+        PLATEAU_HI + 1e-9, 5.8, TWO_PI,             # C1
+        TWO_PI + 1e-9, 7.5, 3 * math.pi, 40.0,      # C2
+    ])
+    def test_measured_value_equals_the_formula(self, lam):
+        cert = certificate(lam)
+        assert isinstance(cert.relation, PLCorrespondence)
+        assert abs(cert.measured - 2 * gh_formula(lam)) <= 1e-12
 
     def test_measured_value_is_reported_not_assumed(self):
         cert = certificate(1.0, COARSE)
-        # a discretized relation can never be exactly the ideal value
-        assert cert.half != gh_formula(1.0)
+        segs = list(cert.relation.segments)
+        (t0, p0), (t1, p1) = segs[0]
+        segs[0] = ((t0, p0), (t1 + 0.1, p1))  # finish the first half-turn later
+        moved = PLCorrespondence(cert.lam, segs)
+        assert pl_distortion(moved) != cert.measured
+        assert cert.measured == pl_distortion(cert.relation)
+
+    def test_length_below_grid_resolution_is_a_point(self):
+        cert = certificate(5e-324, COARSE)
+        assert cert.kind == "full-product"
+        assert cert.half == math.pi / 2
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeLambda):
             certificate(-2.0)
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(LambdaOutOfRange):
+            certificate(lam)
+        with pytest.raises(LambdaOutOfRange):
+            report(lam)
 
 
 class TestLowerBound:
@@ -120,6 +163,15 @@ class TestLowerBound:
     def test_negative_rejected(self):
         with pytest.raises(NegativeLambda):
             lower_bound(-0.5)
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(LambdaOutOfRange):
+            lower_bound(lam)
+
+    def test_length_below_grid_resolution_is_a_point(self):
+        rec = lower_bound(5e-324, COARSE)
+        assert rec == lower_bound(0.0, COARSE)
 
 
 class TestReport:
@@ -178,10 +230,14 @@ class TestSweep:
             sweep(2.0, 1.0, 3, COARSE)
         with pytest.raises(ToolkitError):
             sweep(0.0, 1.0, 0, COARSE)
+        for bad in NON_FINITE:
+            with pytest.raises(LambdaOutOfRange):
+                sweep(0.0, bad, 3, COARSE)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.0, max_value=3 * math.pi, allow_nan=False))
+@example(5e-324)
 def test_report_never_fails_on_valid_lengths(lam):
     rep = report(lam, COARSE)
     assert rep.consistent()

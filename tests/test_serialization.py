@@ -171,7 +171,8 @@ class TestCertificateJson:
         assert doc["regime"] == "B2"
 
     def test_pairs_relation_schema(self):
-        cert = certificate(1.0, COARSE)
+        # only lam = 0 (and lengths below grid resolution) certify with pairs
+        cert = certificate(0.0, COARSE)
         doc = json.loads(certificate_to_json(cert))
         assert doc["relation"]["type"] == "pairs"
         assert all(len(p) == 2 for p in doc["relation"]["pairs"])
