@@ -35,7 +35,7 @@ from .nonlinearity import (
     nonlinearity_degree_exact,
     normalized_witness,
 )
-from .segment_circle import DEFAULT_GRIDS, certificate, gh_formula, lower_bound, sweep
+from .segment_circle import DEFAULT_GRIDS, certificate, gh_formula, sweep
 from .spaces import PointSubset, hausdorff_distance, scale
 from .testing import random_euclidean_space, random_rectangle_points
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -193,7 +192,7 @@ def _cmd_cx(args) -> int:
 def _cmd_certify(args) -> int:
     grids = _grids(args)
     cert = certificate(args.lam, grids)
-    low = lower_bound(args.lam, grids)
+    low = lower_bound(args.lam)
     formula = gh_formula(args.lam)
     slack = grids.slack(args.lam)
     if not (low.value - slack <= formula <= cert.half + slack):
@@ -218,9 +217,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    grids = _grids(args)
-    threads = args.threads if args.threads is not None else os.cpu_count()
-    reports = sweep(args.start, args.stop, args.steps, grids, threads=threads)
+    reports = sweep(args.start, args.stop, args.steps, _grids(args))
     text = sweep_to_csv(reports)
     if args.out:
         Path(args.out).write_text(text)
@@ -332,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True,
                    help="number of sampled lengths")
     _add_grid_flags(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: available parallelism)")
     p.add_argument("--out", help="write CSV here; default stdout")
     p.set_defaults(handler=_cmd_sweep)
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import (
     DisconnectedGraph,
+    LambdaOutOfRange,
     LambdaTooSmall,
     NegativeLength,
     OddOrder,
@@ -146,6 +147,8 @@ def whisker_graph(lam: float, n_circle: int, n_whisker: int | None = None) -> Wh
     subset equals the whisker length.  When n_whisker is omitted, each
     whisker is subdivided to roughly the circle arc step.
     """
+    if not math.isfinite(lam):
+        raise LambdaOutOfRange(f"segment length must be finite, got {lam}")
     if lam < TWO_PI:
         raise LambdaTooSmall(f"whisker construction needs lam >= 2*pi, got {lam}")
     if n_circle < 4 or n_circle % 2 != 0:
@@ -153,7 +156,13 @@ def whisker_graph(lam: float, n_circle: int, n_whisker: int | None = None) -> Wh
     half = (lam - math.pi) / 2.0
     arc = TWO_PI / n_circle
     if n_whisker is None:
-        n_whisker = max(1, math.ceil(half / arc))
+        count = half / arc
+        if not math.isfinite(count):
+            raise LambdaOutOfRange(
+                f"whiskers of length {half} at arc step {arc} need more points "
+                "than a float can count"
+            )
+        n_whisker = max(1, math.ceil(count))
     if n_whisker < 1:
         raise TooFewPoints(f"whisker subdivision must be >= 1, got {n_whisker}")
 

@@ -219,8 +219,9 @@ def nonlinearity_degree_upper(space: FiniteMetricSpace, restarts: int = 32,
         if found is None:
             continue
         val, positions = found
-        # no swap can go below 0, so an order already there skips the rounds
-        improved = val > 0.0
+        # a swap could gain at most tol on an order already within tol,
+        # so such an order skips the swap rounds
+        improved = val > tol
         rounds = 0
         while improved and rounds < 200:
             improved = False

@@ -5,34 +5,34 @@ short, a constant pi/3 plateau for 2*pi/3 <= lam <= 5*pi/3, and
 (lam - pi)/2 once the segment dominates.  Every sampled lam is certified
 from both sides: an upper bound comes from an explicit correspondence
 whose distortion is measured (never trusted), and a lower bound comes
-from one of three routes (roundness, diametral involution, diameter gap).
+from one of three routes (roundness, diametral involution, diameter gap),
+each a closed function of exact invariants of the continuous spaces.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundRecord, diam_diff_lower, involution_lower, round_lower
+from .bounds import BoundRecord
 from .correspondences import (
     Correspondence,
     PLCorrespondence,
     distortion,
     pl_distortion,
 )
-from .errors import CertificateFailed, LambdaOutOfRange, NegativeLambda, ToolkitError
-from .models import (
-    TWO_PI,
-    antipodal_map,
-    circle_space,
-    segment_positions,
-    segment_space,
+from .errors import (
+    CertificateFailed,
+    LambdaOutOfRange,
+    NegativeLambda,
+    OddOrder,
+    TooFewPoints,
+    ToolkitError,
 )
-from .nonlinearity import normalized_witness
+from .models import TWO_PI, circle_space, segment_positions, segment_space
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 SEVEN_SIXTHS_PI = 7.0 * math.pi / 6.0
@@ -44,11 +44,19 @@ EXACT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GridParams:
-    """Discretization parameters shared by certificates and lower bounds."""
+    """Discretization parameters of the certificates and of the slack budget."""
 
     n_circle: int = 720
     m_grid: int = 720
     pl_step: float = math.pi / 720
+
+    def __post_init__(self):
+        if self.n_circle < 4 or self.n_circle % 2 != 0:
+            raise OddOrder(f"circle grid size must be even and >= 4, got {self.n_circle}")
+        if self.m_grid < 1:
+            raise TooFewPoints(f"segment grid size must be >= 1, got {self.m_grid}")
+        if not (math.isfinite(self.pl_step) and self.pl_step > 0):
+            raise ToolkitError(f"pl step must be finite and positive, got {self.pl_step}")
 
     def slack(self, lam: float) -> float:
         """Documented per-lam error budget of the discretized pipeline."""
@@ -266,29 +274,27 @@ def _odd(m: int) -> int:
     return m if m % 2 == 1 else m + 1
 
 
-def lower_bound(lam: float, grids: Optional[GridParams] = None) -> BoundRecord:
+def lower_bound(lam: float) -> BoundRecord:
     """Best certified lower bound at one lam; route chosen by effective value.
 
-    Routes: roundness of the circle (exact on even grids, wins while the
-    segment is short), diametral involution with the segment's zero
-    nonlinearity witness (the plateau), and the diameter gap (long
-    segments).  The involution route carries the documented resolution
-    slack 2*pi/n_circle.  A lam below the segment grid's resolution is
-    bounded as lam = 0, a one-point segment.
+    Each route is a closed function of exact invariants of the continuous
+    spaces.  The circle has diameter pi, is round with minimum eccentricity
+    pi, and carries the antipodal map as a diametral involution; the
+    segment has diameter lam, minimum eccentricity lam/2 and nonlinearity
+    degree 0, witnessed by the identity.  So the routes are roundness,
+    (pi - lam/2)/2 clamped at 0 (wins while the segment is short); the
+    diametral involution, (pi - 0)/3 = pi/3 (the plateau); and the diameter
+    gap, |pi - lam|/2 (long segments).  None carries a slack.  The tests
+    check the result against the same routes evaluated on grids by
+    round_lower, involution_lower and diam_diff_lower.
     """
-    grids = grids or DEFAULT_GRIDS
     _require_length(lam)
-    circ = _circle(grids.n_circle)
-    m = _odd(grids.m_grid)
-    if _below_resolution(lam, m):
-        lam, m = 0.0, 1
-    seg = segment_space(lam, m)
-
-    routes = [round_lower(circ, seg), diam_diff_lower(circ, seg)]
-    witness = normalized_witness(seg, segment_positions(lam, seg.n))
-    inv = involution_lower(circ, antipodal_map(grids.n_circle), seg,
-                           witness.objective, witness)
-    routes.append(replace(inv, slack=TWO_PI / grids.n_circle))
+    a = lam / 2
+    routes = [
+        BoundRecord("lower", max(0.0, (math.pi - a) / 2), f"round(a={a:.12g})"),
+        BoundRecord("lower", abs(math.pi - lam) / 2, "diameter-difference"),
+        BoundRecord("lower", math.pi / 3, "diametral-involution(c=0)"),
+    ]
     return max(routes, key=lambda r: (r.effective_lower(), r.source))
 
 
@@ -312,7 +318,7 @@ class RegimeReport:
 def report(lam: float, grids: Optional[GridParams] = None) -> RegimeReport:
     grids = grids or DEFAULT_GRIDS
     cert = certificate(lam, grids)
-    low = lower_bound(lam, grids)
+    low = lower_bound(lam)
     upper = BoundRecord(
         "upper",
         cert.half,
@@ -336,9 +342,8 @@ def report(lam: float, grids: Optional[GridParams] = None) -> RegimeReport:
 
 
 def sweep(lam_min: float, lam_max: float, steps: int,
-          grids: Optional[GridParams] = None,
-          threads: Optional[int] = None) -> list[RegimeReport]:
-    """Reports over an even lam grid, ordered by lam regardless of threads."""
+          grids: Optional[GridParams] = None) -> list[RegimeReport]:
+    """Reports over an even lam grid, in increasing lam."""
     if not (math.isfinite(lam_min) and math.isfinite(lam_max)):
         raise LambdaOutOfRange(f"sweep range must be finite, got [{lam_min}, {lam_max}]")
     if lam_min < 0:
@@ -352,7 +357,4 @@ def sweep(lam_min: float, lam_max: float, steps: int,
         lams = [lam_min]
     else:
         lams = list(np.linspace(lam_min, lam_max, steps))
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda v: report(v, grids), lams))
     return [report(v, grids) for v in lams]

@@ -58,6 +58,13 @@ class TestMakeSpace:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["labels"]) > 60
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_whisker_length_out_of_range_is_an_input_error(self, capsys, value):
+        assert run(["make-space", "--kind", "whisker", "--lambda", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_graph_kind(self, tmp_path, capsys):
         graph = tmp_path / "g.json"
         graph.write_text(json.dumps(
@@ -212,12 +219,18 @@ class TestCertify:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [["--n-circle", "7"], ["--m-grid", "0"],
+                                       ["--pl-step", "-1"]])
+    def test_bad_grid_is_an_input_error(self, capsys, flags):
+        assert run(["certify", "--lambda", "1.0", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestSweep:
     def test_csv_to_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--from", "1.0", "--to", "7.0", "--steps", "3",
-                    *COARSE_FLAGS, "--threads", "2", "--out", str(out)]) == 0
+                    *COARSE_FLAGS, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "lambda,formula,lower,upper,regime,slack"
         assert len(lines) == 4

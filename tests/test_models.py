@@ -16,6 +16,7 @@ from ghdist import (
 )
 from ghdist.errors import (
     DisconnectedGraph,
+    LambdaOutOfRange,
     LambdaTooSmall,
     NegativeLength,
     OddOrder,
@@ -106,6 +107,16 @@ class TestWhiskerGraph:
     def test_needs_lam_at_least_two_pi(self):
         with pytest.raises(LambdaTooSmall):
             whisker_graph(3.0, 12)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_length_rejected(self, lam):
+        with pytest.raises(LambdaOutOfRange):
+            whisker_graph(lam, 12)
+
+    def test_uncountable_subdivision_rejected(self):
+        # half/arc overflows to inf before any point is allocated
+        with pytest.raises(LambdaOutOfRange):
+            whisker_graph(1e308, 720)
 
     def test_point_partition(self):
         lam = 2 * math.pi + 1.0

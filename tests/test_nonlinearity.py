@@ -22,6 +22,7 @@ from ghdist import (
     witness_objective,
 )
 from ghdist.errors import NotAntipodalInvolution, NotLipschitz, TooLarge
+from ghdist.serialization import space_from_json, space_to_json
 from ghdist.spaces import diameter
 from ghdist.testing import random_euclidean_space
 
@@ -183,6 +184,25 @@ class TestHeuristicDegree:
         assert len(calls) == 1
         assert value == 0.0
         assert witness == normalized_witness(space, segment_positions(3.0, 193))
+
+    def test_an_order_within_tol_skips_its_swap_rounds(self, monkeypatch):
+        # 12-digit distances leave the grid order at about 7.7e-10: above 0
+        # but within tol, so it is still the only order solved
+        import ghdist.nonlinearity as nl
+
+        calls = []
+        solve = nl._min_threshold_for_order
+
+        def counted(d, order, tol, cap):
+            calls.append(order)
+            return solve(d, order, tol, cap)
+
+        monkeypatch.setattr(nl, "_min_threshold_for_order", counted)
+        space = space_from_json(space_to_json(segment_space(3.3, 97)))
+        value, witness = nonlinearity_degree_upper(space, restarts=16, seed=0)
+        assert len(calls) == 1
+        assert value == 7.683409464220858e-10
+        assert witness.objective == value
 
 
 class TestAntipodalMachinery:

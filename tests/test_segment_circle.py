@@ -7,15 +7,29 @@ from hypothesis import strategies as st
 from ghdist import (
     GridParams,
     PLCorrespondence,
+    antipodal_map,
     certificate,
+    circle_space,
+    diam_diff_lower,
     gh_formula,
+    involution_lower,
     lower_bound,
+    normalized_witness,
     pl_distortion,
     regime,
     report,
+    round_lower,
+    segment_positions,
+    segment_space,
     sweep,
 )
-from ghdist.errors import LambdaOutOfRange, NegativeLambda, ToolkitError
+from ghdist.errors import (
+    LambdaOutOfRange,
+    NegativeLambda,
+    OddOrder,
+    TooFewPoints,
+    ToolkitError,
+)
 
 TWO_PI = 2.0 * math.pi
 PLATEAU_LO = 2.0 * math.pi / 3.0
@@ -24,6 +38,31 @@ PLATEAU_HI = 5.0 * math.pi / 3.0
 COARSE = GridParams(n_circle=180, m_grid=180, pl_step=math.pi / 180)
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
+
+# lengths across A, B1, B2, C1 and C2, and the regime breakpoints
+ORACLE_LENGTHS = [
+    0.0, 0.3, 0.7, 1.0, 1.7, PLATEAU_LO,                    # A
+    PLATEAU_LO + 1e-3, 2.5, math.pi, 3.6, 7 * math.pi / 6,  # B1
+    3.8, 4.5, 5.0, 5.2, PLATEAU_HI,                         # B2
+    PLATEAU_HI + 1e-3, 5.8, 6.1, TWO_PI,                    # C1
+    TWO_PI + 1e-3, 7.5, 8.5, 3 * math.pi,                   # C2
+]
+
+
+class TestGridParams:
+    @pytest.mark.parametrize("n", [7, 2, 0, -4])
+    def test_circle_grid_must_be_even_and_at_least_four(self, n):
+        with pytest.raises(OddOrder):
+            GridParams(n_circle=n)
+
+    def test_segment_grid_needs_a_point(self):
+        with pytest.raises(TooFewPoints):
+            GridParams(m_grid=0)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_pl_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ToolkitError):
+            GridParams(pl_step=step)
 
 
 class TestFormula:
@@ -145,20 +184,46 @@ class TestCertificate:
 
 class TestLowerBound:
     def test_short_segment_uses_the_round_route(self):
-        rec = lower_bound(1.0, COARSE)
-        assert rec.source.startswith("round")
-        assert abs(rec.value - (math.pi / 2 - 0.25)) <= 1e-12
+        rec = lower_bound(1.0)
+        assert rec.source == "round(a=0.5)"
+        assert abs(rec.value - (math.pi / 2 - 0.25)) <= 1e-15
 
     def test_plateau_uses_the_involution_route(self):
-        rec = lower_bound(math.pi, COARSE)
-        assert rec.source.startswith("diametral-involution")
+        rec = lower_bound(math.pi)
+        assert rec.source == "diametral-involution(c=0)"
         assert rec.value == math.pi / 3
-        assert rec.slack == TWO_PI / COARSE.n_circle
+        assert rec.slack == 0.0
 
     def test_long_segment_uses_the_diameter_gap(self):
-        rec = lower_bound(7.0, COARSE)
+        rec = lower_bound(7.0)
         assert rec.source == "diameter-difference"
-        assert abs(rec.value - (7.0 - math.pi) / 2) <= 2 * 7.0 / COARSE.m_grid
+        assert rec.value == (7.0 - math.pi) / 2
+
+    def test_involution_wins_just_past_the_plateau_ends(self):
+        # with zero slack the pi/3 route beats both neighbours inside the plateau
+        for lam in (PLATEAU_LO + 1e-3, PLATEAU_HI - 1e-3):
+            rec = lower_bound(lam)
+            assert rec.source == "diametral-involution(c=0)"
+            assert rec.value == math.pi / 3
+
+    @pytest.mark.parametrize("lam", ORACLE_LENGTHS)
+    def test_value_is_the_formula(self, lam):
+        assert abs(lower_bound(lam).value - gh_formula(lam)) <= 1e-15
+
+    @pytest.mark.parametrize("lam", ORACLE_LENGTHS)
+    def test_matches_the_best_grid_route(self, lam):
+        # the same three routes evaluated on grids, as bounds.py computes them
+        m = 721 if lam > 0 else 1
+        circ = circle_space(720)
+        seg = segment_space(lam, m)
+        witness = normalized_witness(seg, segment_positions(lam, m))
+        grid = max(
+            round_lower(circ, seg).value,
+            diam_diff_lower(circ, seg).value,
+            involution_lower(circ, antipodal_map(720), seg,
+                             witness.objective, witness).value,
+        )
+        assert abs(lower_bound(lam).value - grid) <= TWO_PI / 720 + 2 * lam / 720
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeLambda):
@@ -170,8 +235,8 @@ class TestLowerBound:
             lower_bound(lam)
 
     def test_length_below_grid_resolution_is_a_point(self):
-        rec = lower_bound(5e-324, COARSE)
-        assert rec == lower_bound(0.0, COARSE)
+        rec = lower_bound(5e-324)
+        assert rec == lower_bound(0.0)
 
 
 class TestReport:
@@ -203,14 +268,6 @@ class TestSweep:
         reports = sweep(1.0, 5.0, 1, COARSE)
         assert len(reports) == 1
         assert reports[0].lam == 1.0
-
-    def test_threading_does_not_change_results(self):
-        serial = sweep(0.5, 7.0, 8, COARSE, threads=1)
-        parallel = sweep(0.5, 7.0, 8, COARSE, threads=4)
-        assert [(r.lam, r.formula_value, r.lower.value, r.upper.value)
-                for r in serial] == \
-               [(r.lam, r.formula_value, r.lower.value, r.upper.value)
-                for r in parallel]
 
     def test_formula_shape_over_a_wide_sweep(self):
         reports = sweep(0.0, 3 * math.pi, 61, COARSE)
